@@ -22,10 +22,6 @@ Quickstart::
     result = api.encode("cricket", preset="medium", crf=23)
     report = api.serve(api.table3_requests(8))
     print(report.render())
-
-The historical aliases (``repro.transcode``, ``repro.profile_transcode``,
-``repro.experiments.runner.run``) keep working but emit a
-``DeprecationWarning`` pointing here.
 """
 
 import importlib
@@ -47,7 +43,6 @@ from repro.api.types import (
 #: ``repro.api.types`` while the facade imports the service layer, and
 #: eager package imports here would close that cycle.
 _LAZY_EXPORTS = {
-    "backends": ("repro.api.facade", "backends"),
     "bench_matrix": ("repro.api.facade", "bench_matrix"),
     "encode": ("repro.api.facade", "encode"),
     "fleet_compare": ("repro.api.facade", "fleet_compare"),
@@ -99,7 +94,6 @@ __all__ = [
     "Settings",
     "TranscodeRequest",
     "TranscodeResult",
-    "backends",
     "bench_matrix",
     "encode",
     "fleet_compare",

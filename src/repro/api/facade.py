@@ -3,9 +3,7 @@ serve, loadtest, fleet_compare.
 
 One function per workflow, all consuming/producing the typed records in
 :mod:`repro.api.types`. The CLI, the experiments, and the service layer
-route through these — per-module ``run()`` functions and the historical
-``repro.transcode`` / ``repro.profile_transcode`` aliases remain only as
-deprecated shims.
+route through these.
 
 - :func:`encode` — one transcode (the Fig. 2 triangle);
 - :func:`profile` — one perf-stat-style profiled transcode;
@@ -45,7 +43,6 @@ from repro.service.service import (
 from repro.video.vbench import load_video
 
 __all__ = [
-    "backends",
     "bench_matrix",
     "encode",
     "fleet_compare",
@@ -56,24 +53,6 @@ __all__ = [
     "serve",
     "sweep",
 ]
-
-
-def backends():
-    """Every registered kernel backend, in registration order.
-
-    Returns the :class:`~repro.codec.kernels.Backend` records themselves:
-    each carries its capability set, what it inherits from (``base``),
-    and — for optional backends whose dependency is missing, like
-    ``numba`` without numba installed — an ``unavailable_reason``
-    explaining why selecting it will fall back. Pick a backend with
-    ``Settings(kernels=...)`` or inspect availability programmatically::
-
-        >>> [b.name for b in api.backends() if b.available]
-        ['reference', 'vectorized', 'batched']
-    """
-    from repro.codec import kernels as _kernels
-
-    return _kernels.all_backends()
 
 
 def _as_request(

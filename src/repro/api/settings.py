@@ -187,7 +187,7 @@ class Settings:
             # mysteriously slow run on the default backend.
             if kernels_raw not in _kernels.KERNEL_BACKENDS:
                 raise ValueError(
-                    f"REPRO_KERNELS={kernels_raw!r} is not a registered "
+                    f"REPRO_KERNELS={kernels_raw!r} is not a "
                     f"kernel backend; choose from "
                     f"{', '.join(_kernels.KERNEL_BACKENDS)}"
                 )

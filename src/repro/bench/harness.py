@@ -1,10 +1,10 @@
 """Benchmark workloads: per-kernel micro-benchmarks and the fig3 slice.
 
 Every workload is deterministic (fixed seeds, fixed shapes) and is run
-under every *available* kernel backend with the same inputs, so the
-per-kernel speedups isolate exactly what each rewrite bought (rows keep
-the historical ``reference``/``vectorized`` columns plus per-backend
-``backends``/``speedups`` maps for the registry's extra backends).
+under both kernel backends with the same inputs, so the per-kernel
+speedups isolate exactly what each rewrite bought. The ``vectorized``
+side is timed on the production default path (no ``backend_scope``, no
+``select_backend``); only the ``reference`` side runs scoped.
 Per-repetition wall times go through the shared
 :class:`repro.obs.MetricsRegistry` histograms; the summary payload embeds
 the registry snapshot so ``BENCH_*.json`` doubles as a telemetry
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
+from contextlib import AbstractContextManager, nullcontext
 
 import numpy as np
 
@@ -51,6 +52,25 @@ def _bench_scene(width: int = 112, height: int = 64, n_frames: int = 12):
             width=width, height=height, n_frames=n_frames, seed=3, name="bench"
         )
     )
+
+
+def _timing_path(backend: str) -> AbstractContextManager[object]:
+    """The dispatch path a backend is timed on.
+
+    ``reference`` is scoped; ``vectorized`` runs on whatever the process
+    resolves with nothing overriding it, which must be the default —
+    otherwise the numbers would not describe the production path.
+    """
+    if backend == "reference":
+        return kernels.backend_scope("reference")
+    active = kernels.active_backend()
+    if active != kernels.DEFAULT_BACKEND:
+        raise RuntimeError(
+            f"bench must time {kernels.DEFAULT_BACKEND!r} on the default "
+            f"dispatch path, but {active!r} is selected (unset "
+            f"REPRO_KERNELS / --kernels)"
+        )
+    return nullcontext()
 
 
 def _time_call(fn: Callable[[], object], reps: int) -> list[float]:
@@ -219,39 +239,31 @@ def run_kernel_benches(
     reps: int = 3,
     names: Iterable[str] | None = None,
 ) -> dict[str, dict[str, float]]:
-    """Time each kernel workload under every available backend.
+    """Time each kernel workload under both backends.
 
-    Returns ``{kernel: row}`` where each row keeps the historical
-    ``reference_ns_per_block`` / ``vectorized_ns_per_block`` / ``speedup``
-    columns (so old baselines stay comparable) and adds ``backends``
-    (ns/block per backend) and ``speedups`` (vs. reference, per
-    non-reference backend). Per-rep seconds additionally land in
-    ``registry`` histograms named ``bench.kernel.<name>.<backend>_s``.
+    Returns ``{kernel: row}`` with ``blocks``, ``reference_ns_per_block``,
+    ``vectorized_ns_per_block`` and ``speedup`` columns. Per-rep seconds
+    additionally land in ``registry`` histograms named
+    ``bench.kernel.<name>.<backend>_s``.
     """
-    backends = kernels.available_backends()
     results: dict[str, dict[str, float]] = {}
     for name in names if names is not None else KERNEL_BENCH_NAMES:
         builder = _KERNEL_BENCHES[name]
-        per_backend: dict[str, float] = {}
+        best: dict[str, float] = {}
         units = 0
-        for backend in backends:
-            with kernels.backend_scope(backend):
+        for backend in kernels.KERNEL_BACKENDS:
+            with _timing_path(backend):
                 units, thunk = builder()
                 times = _time_call(thunk, reps)
             hist = registry.histogram(f"bench.kernel.{name}.{backend}_s")
             for t in times:
                 hist.observe(t)
-            per_backend[backend] = min(times)
-        ref = per_backend["reference"]
+            best[backend] = min(times)
         results[name] = {
             "blocks": float(units),
-            "reference_ns_per_block": ref / units * 1e9,
-            "vectorized_ns_per_block": per_backend["vectorized"] / units * 1e9,
-            "speedup": ref / per_backend["vectorized"],
-            "backends": {b: t / units * 1e9 for b, t in per_backend.items()},
-            "speedups": {
-                b: ref / t for b, t in per_backend.items() if b != "reference"
-            },
+            "reference_ns_per_block": best["reference"] / units * 1e9,
+            "vectorized_ns_per_block": best["vectorized"] / units * 1e9,
+            "speedup": best["reference"] / best["vectorized"],
         }
     return results
 
@@ -263,46 +275,38 @@ def run_e2e_fig3(
     cells: tuple[tuple[int, int], ...] = E2E_CELLS,
     n_frames: int = _E2E_FRAMES,
 ) -> dict[str, object]:
-    """Encode the fig3 slice end to end under every available backend.
+    """Encode the fig3 slice end to end under both backends.
 
     The slice is the encode stage of the paper's Figure-3 crf x refs grid
     (the simulator downstream is backend-independent). Returns the
-    historical reference/vectorized totals and speedup plus a per-backend
-    ``backends`` map (``{total_s, frames_per_s, speedup}`` each).
+    reference/vectorized totals, frame rates and speedup, plus per-cell
+    rows.
     """
     from repro.codec.encoder import encode
     from repro.codec.options import EncoderOptions
 
     width, height = _E2E_SIZE
     video = _bench_scene(width=width, height=height, n_frames=n_frames)
-    backends = kernels.available_backends()
-    totals = dict.fromkeys(backends, 0.0)
+    totals = dict.fromkeys(kernels.KERNEL_BACKENDS, 0.0)
     per_cell = []
     for crf, refs in cells:
         opts = EncoderOptions(crf=crf, refs=refs)
         cell_times: dict[str, float] = {}
-        for backend in backends:
-            with kernels.backend_scope(backend):
+        for backend in kernels.KERNEL_BACKENDS:
+            with _timing_path(backend):
                 times = _time_call(lambda: encode(video, opts), reps)
             hist = registry.histogram(f"bench.e2e.crf{crf}_refs{refs}.{backend}_s")
             for t in times:
                 hist.observe(t)
             cell_times[backend] = min(times)
             totals[backend] += min(times)
-        ref_s = cell_times["reference"]
         per_cell.append(
             {
                 "crf": crf,
                 "refs": refs,
-                "reference_s": ref_s,
+                "reference_s": cell_times["reference"],
                 "vectorized_s": cell_times["vectorized"],
-                "speedup": ref_s / cell_times["vectorized"],
-                "backends": dict(cell_times),
-                "speedups": {
-                    b: ref_s / t
-                    for b, t in cell_times.items()
-                    if b != "reference"
-                },
+                "speedup": cell_times["reference"] / cell_times["vectorized"],
             }
         )
     n_encoded = n_frames * len(cells)
@@ -316,14 +320,6 @@ def run_e2e_fig3(
         "reference_frames_per_s": n_encoded / totals["reference"],
         "vectorized_frames_per_s": n_encoded / totals["vectorized"],
         "speedup": totals["reference"] / totals["vectorized"],
-        "backends": {
-            b: {
-                "total_s": total,
-                "frames_per_s": n_encoded / total,
-                "speedup": totals["reference"] / total,
-            }
-            for b, total in totals.items()
-        },
     }
 
 

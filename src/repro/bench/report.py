@@ -145,79 +145,34 @@ def render_bench(payload: dict[str, object]) -> str:
         f"{'kernel':34s} {'ref ns/blk':>12s} {'vec ns/blk':>12s} {'speedup':>8s}",
     ]
     kernels: dict[str, dict[str, float]] = payload["kernels"]  # type: ignore[assignment]
-    extra_backends = sorted(
-        {
-            backend
-            for row in kernels.values()
-            for backend in row.get("speedups", {})
-            if backend != "vectorized"
-        }
-    )
     for name in sorted(kernels):
         row = kernels[name]
         lines.append(
             f"{name:34s} {row['reference_ns_per_block']:12.0f} "
             f"{row['vectorized_ns_per_block']:12.0f} {row['speedup']:7.2f}x"
         )
-    if extra_backends:
-        lines += [
-            "",
-            f"{'kernel (speedup vs reference)':34s} "
-            + " ".join(f"{backend:>12s}" for backend in extra_backends),
-        ]
-        for name in sorted(kernels):
-            speedups = kernels[name].get("speedups", {})
-            cells = []
-            for backend in extra_backends:
-                ratio = speedups.get(backend)
-                cells.append(f"{ratio:11.2f}x" if ratio is not None else f"{'—':>12s}")
-            lines.append(f"{name:34s} " + " ".join(cells))
     e2e: dict[str, object] = payload["e2e"]  # type: ignore[assignment]
     lines += [
         "",
         f"e2e fig3 slice ({len(e2e['cells'])} cells x {e2e['n_frames']} frames "
         f"@ {e2e['width']}x{e2e['height']}):",
+        f"  reference  {e2e['reference_s']:.2f}s "
+        f"({e2e['reference_frames_per_s']:.1f} frames/s)",
+        f"  vectorized {e2e['vectorized_s']:.2f}s "
+        f"({e2e['vectorized_frames_per_s']:.1f} frames/s)",
+        f"  speedup    {e2e['speedup']:.2f}x",
     ]
-    backend_rows = e2e.get("backends")
-    if backend_rows:
-        name_w = max(len(b) for b in backend_rows)
-        for backend, info in backend_rows.items():
-            lines.append(
-                f"  {backend:<{name_w}s} {info['total_s']:6.2f}s "
-                f"({info['frames_per_s']:.1f} frames/s, "
-                f"{info['speedup']:.2f}x vs reference)"
-            )
-    else:  # pre-registry artifact: only the original two backends
-        lines += [
-            f"  reference  {e2e['reference_s']:.2f}s "
-            f"({e2e['reference_frames_per_s']:.1f} frames/s)",
-            f"  vectorized {e2e['vectorized_s']:.2f}s "
-            f"({e2e['vectorized_frames_per_s']:.1f} frames/s)",
-            f"  speedup    {e2e['speedup']:.2f}x",
-        ]
     return "\n".join(lines)
 
 
 def _tracked_speedups(payload: dict[str, object]) -> dict[str, float]:
-    """Workload -> speedup-over-reference map the gate compares.
-
-    The unsuffixed rows (``kernel:<name>``, ``e2e:fig3-slice``) are the
-    historical vectorized-over-reference ratios; registry backends beyond
-    the original two contribute suffixed rows (``kernel:<name>:batched``,
-    ``e2e:fig3-slice:batched``, ...) that show up as ``(new)`` against
-    older baselines and gate normally once re-baselined.
-    """
-    tracked: dict[str, float] = {}
-    for name, row in payload["kernels"].items():  # type: ignore[union-attr]
-        tracked[f"kernel:{name}"] = row["speedup"]
-        for backend, ratio in row.get("speedups", {}).items():
-            if backend != "vectorized":
-                tracked[f"kernel:{name}:{backend}"] = ratio
-    e2e = payload["e2e"]
-    tracked["e2e:fig3-slice"] = e2e["speedup"]  # type: ignore[index]
-    for backend, info in e2e.get("backends", {}).items():  # type: ignore[union-attr]
-        if backend not in ("reference", "vectorized"):
-            tracked[f"e2e:fig3-slice:{backend}"] = info["speedup"]
+    """Workload -> vectorized-over-reference speedup map the gate compares
+    (``kernel:<name>`` rows plus ``e2e:fig3-slice``)."""
+    tracked: dict[str, float] = {
+        f"kernel:{name}": row["speedup"]
+        for name, row in payload["kernels"].items()  # type: ignore[union-attr]
+    }
+    tracked["e2e:fig3-slice"] = payload["e2e"]["speedup"]  # type: ignore[index]
     return tracked
 
 

@@ -17,7 +17,6 @@ Examples::
     repro report --diff a/run.json b/run.json
     repro report out/run.json --timeline 3      # one job's flame graph
     repro slo check out/run.json --spec examples/slo/serve.json
-    repro backends                    # list kernel backends + availability
     repro bench                       # benchmark kernels + fig3 slice
     repro bench --compare BENCH_baseline.json   # CI regression gate
     repro bench --matrix examples/bench/kernel_workload.yaml --quick
@@ -133,50 +132,13 @@ def _cache_main(argv: list[str]) -> int:
     return 0
 
 
-def _backends_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro backends",
-        description="List the registered kernel backends, their "
-                    "capabilities, and availability (an optional "
-                    "backend whose dependency is missing shows why and "
-                    "what it falls back to).",
-    )
-    parser.parse_args(argv)
-
-    from repro.codec import kernels
-
-    active = kernels.active_backend()
-    rows = []
-    for backend in kernels.all_backends():
-        marker = "*" if backend.name == active else " "
-        if backend.available:
-            status = "available"
-        else:
-            status = f"unavailable ({backend.unavailable_reason})"
-            if backend.base:
-                status += f", falls back to {backend.base}"
-        caps = ",".join(sorted(backend.capabilities)) or "-"
-        rows.append((marker, backend.name, status, caps, backend.description))
-    name_w = max(len(r[1]) for r in rows)
-    status_w = max(len(r[2]) for r in rows)
-    caps_w = max(max(len(r[3]) for r in rows), len("capabilities"))
-    print(f"  {'backend':<{name_w}}  {'status':<{status_w}}  "
-          f"{'capabilities':<{caps_w}}  description")
-    for marker, name, status, caps, desc in rows:
-        print(f"{marker} {name:<{name_w}}  {status:<{status_w}}  "
-              f"{caps:<{caps_w}}  {desc}")
-    print(f"\n* = active backend (select with --kernels/$REPRO_KERNELS; "
-          f"default {kernels.DEFAULT_BACKEND})")
-    return 0
-
-
 def _bench_main(argv: list[str]) -> int:
     from repro.codec.kernels import KERNEL_BACKENDS
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Benchmark the codec kernels across every available "
-                    "backend and an end-to-end fig3 slice; or run a "
+        description="Benchmark the codec kernels under both backends "
+                    "and an end-to-end fig3 slice; or run a "
                     "declarative benchmark matrix (--matrix) / render "
                     "the speedup trend over past artifacts (--history).",
     )
@@ -981,8 +943,6 @@ def main(argv: list[str] | None = None) -> int:
         return _report_main(argv[1:])
     if argv[:1] == ["cache"]:
         return _cache_main(argv[1:])
-    if argv[:1] == ["backends"]:
-        return _backends_main(argv[1:])
     if argv[:1] == ["bench"]:
         return _bench_main(argv[1:])
     if argv[:1] == ["matrix"]:
@@ -1005,8 +965,6 @@ def main(argv: list[str] | None = None) -> int:
                "`repro report <run.json> [--diff]` renders/diffs "
                "telemetry artifacts; `repro cache {stats,clear}` "
                "inspects/clears the persistent result cache; "
-               "`repro backends` lists the registered kernel backends "
-               "and their availability; "
                "`repro bench [--compare BASELINE.json]` benchmarks the "
                "codec kernels and the fig3 slice (`--matrix SPEC` runs "
                "a declarative benchmark matrix, `--history DIR` renders "
@@ -1071,7 +1029,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=KERNEL_BACKENDS,
         default=None,
         help="codec kernel backend (default: $REPRO_KERNELS, else "
-             "vectorized; `repro backends` lists availability)",
+             "vectorized)",
     )
     parser.add_argument(
         "--no-shm",

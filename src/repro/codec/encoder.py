@@ -131,20 +131,9 @@ class _FrameContext:
     mv_grid: list[list[MotionVector | None]] = field(default_factory=list)
     mb_variances: np.ndarray | None = None
     mean_variance: float = 0.0
-    #: Whole-frame float64 cast of ``src`` (batched backends only): the
-    #: per-MB ``astype`` calls collapse into one per-frame cast, served
-    #: back as views. ``None`` keeps the per-MB cast path.
-    src_f: np.ndarray | None = None
 
     def src_mb_f(self, y: int, x: int) -> np.ndarray:
-        """Float64 16x16 source macroblock at plane coordinates (y, x).
-
-        A zero-copy view of the per-frame cast when the batched hoist is
-        on, else a fresh per-MB cast — the float64 values are identical
-        either way, so downstream arithmetic is unchanged.
-        """
-        if self.src_f is not None:
-            return self.src_f[y : y + 16, x : x + 16]
+        """Float64 16x16 source macroblock at plane coordinates (y, x)."""
         return self.src[y : y + 16, x : x + 16].astype(np.float64)
 
 
@@ -384,11 +373,6 @@ class Encoder:
             recon=np.zeros_like(src),
             frame_type=ftype,
             base_qp=base_qp,
-            src_f=(
-                src.astype(np.float64)
-                if kernels.has_capability("batched")
-                else None
-            ),
         )
         if ftype is not FrameType.I:
             past = [e for e in dpb if e.display_index < disp_idx]
@@ -736,25 +720,15 @@ class Encoder:
         total_modes_tried = 0
         # The block chain is inherently sequential (each block predicts
         # from the reconstruction its predecessors just wrote), but the
-        # source casts are not: hoist them into one blockify per MB, or
-        # — under a batched backend — serve strided views of the
-        # per-frame float cast with no per-MB copy at all.
-        srcs_grid = srcs = None
-        if ctx.src_f is not None:
-            srcs_grid = (
-                ctx.src_f[y0 : y0 + 16, x0 : x0 + 16]
-                .reshape(4, 4, 4, 4)
-                .transpose(0, 2, 1, 3)
-            )
-        elif kernels.is_vectorized():
+        # source casts are not: hoist them into one blockify per MB.
+        srcs = None
+        if kernels.is_vectorized():
             srcs = blockify_16x16(src_mb).astype(np.float64)
         for by in range(4):
             for bx in range(4):
                 y = y0 + by * 4
                 x = x0 + bx * 4
-                if srcs_grid is not None:
-                    src4f = srcs_grid[by, bx]
-                elif srcs is not None:
+                if srcs is not None:
                     src4f = srcs[by * 4 + bx]
                 else:
                     src4f = src_mb[

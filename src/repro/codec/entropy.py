@@ -235,9 +235,6 @@ def encode_blocks(writer: BitWriter, blocks: np.ndarray) -> list[int]:
         raise ValueError(f"expected (n, 4, 4) blocks, got {arr.shape}")
     if not kernels.is_vectorized():
         return [encode_block(writer, b) for b in arr]
-    override = kernels.impl("entropy.encode_blocks")
-    if override is not None:
-        return override(writer, arr)
     scans = arr[:, ZIGZAG_4X4[0], ZIGZAG_4X4[1]]  # (n, 16)
     out: list[int] = []
     for scan in scans:

@@ -1,14 +1,12 @@
-"""Bit-identity between the reference backend and every other backend.
+"""Bit-identity between the ``reference`` and ``vectorized`` backends.
 
-The optimized backends are optimizations, not approximations: every
+The vectorized backend is an optimization, not an approximation: every
 kernel must produce *bitwise identical* outputs to the scalar reference
 on the same inputs, so golden-output tests and paper figures are
-backend-independent. These tests run each workload under every
-*available* registered backend (``vectorized``, ``batched``, and
-``numba`` when importable — an uninstalled optional backend simply is
-not in :func:`repro.codec.kernels.available_backends`) and compare all
-of them against ``reference`` — first kernel by kernel on random
-inputs, then through a full encode.
+backend-independent. These tests run each workload under every name in
+:data:`repro.codec.kernels.KERNEL_BACKENDS` and compare the results
+against ``reference`` — first kernel by kernel on random inputs, then
+through a full encode.
 """
 
 from __future__ import annotations
@@ -23,10 +21,10 @@ from repro.codec.encoder import encode
 from repro.codec.options import EncoderOptions
 
 
-def _all_backends(fn):
-    """Run ``fn()`` under each available backend; return {backend: result}."""
+def _each_backend(fn):
+    """Run ``fn()`` under each backend; return {backend: result}."""
     out = {}
-    for backend in kernels.available_backends():
+    for backend in kernels.KERNEL_BACKENDS:
         with kernels.backend_scope(backend):
             out[backend] = fn()
     return out
@@ -55,9 +53,9 @@ def test_transform_roundtrip_identical(seed):
 
     rng = np.random.default_rng(seed)
     blocks = rng.uniform(-255, 255, size=(64, 4, 4))
-    fwd = _all_backends(lambda: forward_4x4(blocks))
+    fwd = _each_backend(lambda: forward_4x4(blocks))
     _assert_identical_arrays(fwd)
-    inv = _all_backends(lambda: inverse_4x4(fwd["reference"]))
+    inv = _each_backend(lambda: inverse_4x4(fwd["reference"]))
     _assert_identical_arrays(inv)
 
 
@@ -70,11 +68,11 @@ def test_satd_identical(seed):
     # different reduction orders still agree bitwise on this domain.
     rng = np.random.default_rng(seed)
     sets = rng.integers(-255, 256, size=(8, 16, 4, 4)).astype(np.float64)
-    batch = _all_backends(lambda: satd_batch(sets))
+    batch = _each_backend(lambda: satd_batch(sets))
     _assert_identical_arrays(batch)
 
     diff = rng.integers(-255, 256, size=(16, 16)).astype(np.float64)
-    single = _all_backends(lambda: satd_16x16(diff))
+    single = _each_backend(lambda: satd_16x16(diff))
     _assert_identical_values(single)
 
 
@@ -85,7 +83,7 @@ def test_hadamard_sad_batch_identical(seed):
     rng = np.random.default_rng(seed)
     cur = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
     cands = rng.integers(0, 256, size=(12, 16, 16)).astype(np.uint8)
-    results = _all_backends(lambda: hadamard_sad_batch(cur, cands))
+    results = _each_backend(lambda: hadamard_sad_batch(cur, cands))
     _assert_identical_arrays(results)
 
 
@@ -100,7 +98,7 @@ def test_entropy_encode_blocks_identical():
         widths = encode_blocks(writer, levels)
         return writer.getvalue(), list(widths)
 
-    _assert_identical_values(_all_backends(run))
+    _assert_identical_values(_each_backend(run))
 
 
 def test_entropy_encode_blocks_identical_empty_and_dense():
@@ -117,7 +115,7 @@ def test_entropy_encode_blocks_identical_empty_and_dense():
         w2 = encode_blocks(writer, zeros)
         return writer.getvalue(), list(w1), list(w2)
 
-    _assert_identical_values(_all_backends(run))
+    _assert_identical_values(_each_backend(run))
 
 
 def test_intra_prediction_identical(tiny_video):
@@ -128,14 +126,14 @@ def test_intra_prediction_identical(tiny_video):
     for mb_y in range(0, src_frame.shape[0] - 15, 16):
         for mb_x in range(0, src_frame.shape[1] - 15, 16):
             src = src_frame[mb_y : mb_y + 16, mb_x : mb_x + 16]
-            p4 = _all_backends(lambda: predict_4x4_blocks(src, recon, mb_y, mb_x))
+            p4 = _each_backend(lambda: predict_4x4_blocks(src, recon, mb_y, mb_x))
             ref_pred, ref_sad, ref_tried = p4["reference"]
             for backend, (pred, sad, tried) in p4.items():
                 assert np.array_equal(ref_pred, pred), backend
                 assert ref_sad == sad, backend
                 assert ref_tried == tried, backend
 
-            p16 = _all_backends(lambda: best_intra_16x16(src, recon, mb_y, mb_x))
+            p16 = _each_backend(lambda: best_intra_16x16(src, recon, mb_y, mb_x))
             ref = p16["reference"]
             for backend, res in p16.items():
                 assert ref.mode == res.mode, backend
@@ -162,7 +160,7 @@ def test_motion_search_identical(tiny_video, method):
                 out.append((res.mv_x, res.mv_y, res.cost, res.n_points))
         return out
 
-    _assert_identical_values(_all_backends(run))
+    _assert_identical_values(_each_backend(run))
 
 
 @pytest.mark.parametrize("subme", [3, 7, 9])
@@ -183,7 +181,7 @@ def test_subpel_refine_identical(tiny_video, subme):
                 out.append((res.mv_x, res.mv_y, res.cost, res.n_points))
         return out
 
-    _assert_identical_values(_all_backends(run))
+    _assert_identical_values(_each_backend(run))
 
 
 @pytest.mark.parametrize("qp", [12, 28, 44])
@@ -191,7 +189,7 @@ def test_deblock_plane_identical(tiny_video, qp):
     from repro.codec.deblock import deblock_plane
 
     plane = tiny_video.frames[0].luma
-    results = _all_backends(lambda: deblock_plane(plane, qp=qp))
+    results = _each_backend(lambda: deblock_plane(plane, qp=qp))
     ref_plane, ref_edges = results["reference"]
     for backend, (out_plane, edges) in results.items():
         assert np.array_equal(ref_plane, out_plane), backend
@@ -210,7 +208,7 @@ def test_chroma_plane_identical(tiny_video):
         encode_chroma_plane(writer, plane, prev, luma_qp=26)
         return writer.getvalue()
 
-    _assert_identical_values(_all_backends(run))
+    _assert_identical_values(_each_backend(run))
 
 
 # --- end-to-end encode equivalence ------------------------------------------
@@ -245,10 +243,10 @@ ENCODE_CONFIGS = [
 
 @pytest.mark.parametrize("options", ENCODE_CONFIGS)
 def test_encode_bit_identical_across_backends(tiny_video, options):
-    digests = _all_backends(lambda: _encode_digest(tiny_video, options))
+    digests = _each_backend(lambda: _encode_digest(tiny_video, options))
     _assert_identical_values(digests)
 
 
 def test_encode_bit_identical_static_scene(static_video):
-    digests = _all_backends(lambda: _encode_digest(static_video, EncoderOptions()))
+    digests = _each_backend(lambda: _encode_digest(static_video, EncoderOptions()))
     _assert_identical_values(digests)

@@ -1,15 +1,11 @@
-"""Unit tests for the ``repro.api`` facade and the deprecation shims.
+"""Unit tests for the ``repro.api`` facade.
 
 Exercises all five blessed entry points (encode, profile, sweep,
-schedule, serve) and asserts every deprecated alias warns exactly once
-per symbol while still resolving to the historical implementation.
+schedule, serve).
 """
-
-import warnings
 
 import pytest
 
-import repro
 from repro import api
 from repro.api import TranscodeRequest, TranscodeResult
 
@@ -81,42 +77,3 @@ class TestScheduleAndServe:
         assert report.completed == 2
         assert report.control is None
         assert report.margin_vs_control_pp is None
-
-
-class TestDeprecatedAliases:
-    def test_transcode_alias_warns_once(self, monkeypatch):
-        monkeypatch.setattr(repro, "_warned_deprecations", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.encode"):
-            symbol = repro.transcode
-        from repro.ffmpeg import transcode
-
-        assert symbol is transcode
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warn would raise
-            assert repro.transcode is transcode
-
-    def test_profile_transcode_alias_warns_once(self, monkeypatch):
-        monkeypatch.setattr(repro, "_warned_deprecations", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.profile"):
-            symbol = repro.profile_transcode
-        from repro.profiling import profile_transcode
-
-        assert symbol is profile_transcode
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert repro.profile_transcode is profile_transcode
-
-    def test_runner_run_alias_warns_once(self, monkeypatch):
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "_warned_deprecations", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            run = runner.run
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run = runner.run
-        assert "Table IV" in run("tab4")
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist

@@ -62,8 +62,7 @@ class TestValidation:
             Settings(kernels="quantum")
 
     def test_accepts_every_registered_backend(self):
-        # Unavailable-but-registered backends (numba without numba) are
-        # valid selections; they degrade at dispatch time, not here.
+        assert kernels.KERNEL_BACKENDS == ("reference", "vectorized")
         for name in kernels.KERNEL_BACKENDS:
             assert Settings(kernels=name).kernels == name
 

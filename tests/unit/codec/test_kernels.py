@@ -1,17 +1,17 @@
-"""Backend-registry semantics: selection precedence, capability
-dispatch, availability fallback, and the deprecated shims."""
+"""The ``reference|vectorized`` switch: selection precedence (scope >
+``select_backend`` > ``REPRO_KERNELS`` > default), eager rejection of
+unknown names, and scope restoration."""
 
 from __future__ import annotations
 
-import warnings
-
+import numpy as np
 import pytest
 
-from repro.codec import kernels
+from repro.codec import kernels, transform
 
 
 @pytest.fixture(autouse=True)
-def _reset_backend(monkeypatch):
+def _clear_selection(monkeypatch):
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
     kernels.select_backend(None)
     yield
@@ -24,18 +24,18 @@ def test_default_backend_is_vectorized():
 
 
 def test_builtin_backends_registered_in_order():
-    assert kernels.KERNEL_BACKENDS[:3] == ("reference", "vectorized", "batched")
-    assert "numba" in kernels.KERNEL_BACKENDS
-    assert tuple(b.name for b in kernels.all_backends()) == kernels.KERNEL_BACKENDS
+    assert kernels.KERNEL_BACKENDS == ("reference", "vectorized")
+    assert kernels.DEFAULT_BACKEND in kernels.KERNEL_BACKENDS
 
 
 def test_available_backends_always_run():
-    available = kernels.available_backends()
-    assert "reference" in available
-    assert "vectorized" in available
-    assert "batched" in available
-    for name in available:
-        assert kernels.backend_info(name).available
+    blocks = np.arange(2 * 16, dtype=np.int32).reshape(2, 4, 4) - 9
+    coeffs = []
+    for name in kernels.KERNEL_BACKENDS:
+        with kernels.backend_scope(name):
+            assert kernels.active_backend() == name
+            coeffs.append(transform.forward_4x4(blocks))
+    np.testing.assert_array_equal(coeffs[0], coeffs[1])
 
 
 def test_env_var_selects_backend(monkeypatch):
@@ -44,12 +44,18 @@ def test_env_var_selects_backend(monkeypatch):
     assert not kernels.is_vectorized()
     monkeypatch.setenv("REPRO_KERNELS", "  Vectorized  ")
     assert kernels.active_backend() == "vectorized"
+    monkeypatch.setenv("REPRO_KERNELS", "\tREFERENCE\n")
+    assert kernels.active_backend() == "reference"
+    monkeypatch.setenv("REPRO_KERNELS", "")
+    assert kernels.active_backend() == kernels.DEFAULT_BACKEND
 
 
 def test_env_var_rejects_unknown(monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS", "simd")
     with pytest.raises(ValueError, match="unknown kernel backend"):
         kernels.active_backend()
+    with pytest.raises(ValueError):
+        kernels.is_vectorized()
 
 
 def test_select_backend_overrides_env(monkeypatch):
@@ -67,17 +73,28 @@ def test_select_backend_rejects_unknown_eagerly():
     assert kernels.active_backend() == kernels.DEFAULT_BACKEND
 
 
-def test_backend_scope_nesting_innermost_wins():
+def test_backend_scope_nesting_innermost_wins(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNELS", "reference")
     kernels.select_backend("vectorized")
     with kernels.backend_scope("reference"):
         assert kernels.active_backend() == "reference"
-        with kernels.backend_scope("batched"):
-            assert kernels.active_backend() == "batched"
+        with kernels.backend_scope("vectorized") as name:
+            assert name == "vectorized"
+            assert kernels.active_backend() == "vectorized"
         assert kernels.active_backend() == "reference"
     assert kernels.active_backend() == "vectorized"
 
 
 def test_backend_scope_restores_on_error():
+    with pytest.raises(RuntimeError):
+        with kernels.backend_scope("reference"):
+            with kernels.backend_scope("vectorized"):
+                raise RuntimeError("boom")
+    assert kernels.active_backend() == "vectorized"
+    assert kernels._override_stack == []
+
+
+def test_use_backend_restores_on_error():
     with pytest.raises(RuntimeError):
         with kernels.backend_scope("reference"):
             raise RuntimeError("boom")
@@ -88,95 +105,4 @@ def test_backend_scope_rejects_unknown():
     with pytest.raises(ValueError, match="unknown kernel backend"):
         with kernels.backend_scope("fast"):
             pass  # pragma: no cover
-
-
-def test_capabilities_accumulate_up_the_chain():
-    with kernels.backend_scope("batched"):
-        assert kernels.is_vectorized()
-        assert kernels.has_capability("batched")
-        assert not kernels.has_capability("jit")
-    with kernels.backend_scope("reference"):
-        assert not kernels.has_capability("batched")
-
-
-def test_impl_walks_base_chain():
-    with kernels.backend_scope("reference"):
-        assert kernels.impl("entropy.encode_blocks") is None
-    with kernels.backend_scope("vectorized"):
-        assert kernels.impl("entropy.encode_blocks") is None
-    with kernels.backend_scope("batched"):
-        override = kernels.impl("entropy.encode_blocks")
-        assert callable(override)
-        # Kernels nobody overrides fall through to the inline twins.
-        assert kernels.impl("deblock.deblock_plane") is None
-
-
-def test_register_backend_requires_known_base():
-    with pytest.raises(ValueError, match="unknown base"):
-        kernels.register_backend("turbo", base="warp")
-
-
-def test_unavailable_backend_requires_base():
-    with pytest.raises(ValueError, match="must declare a base"):
-        kernels.register_backend("gpu", unavailable_reason="no CUDA")
-
-
-def test_unavailable_backend_degrades_to_base(monkeypatch):
-    kernels.register_backend(
-        "flaky",
-        base="vectorized",
-        capabilities=("vectorized",),
-        unavailable_reason="dependency missing (test)",
-    )
-    try:
-        monkeypatch.setattr(kernels, "_warned", set())
-        with kernels.backend_scope("flaky"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert kernels.active_backend() == "vectorized"
-                assert kernels.active_backend() == "vectorized"
-        degraded = [w for w in caught if "flaky" in str(w.message)]
-        assert len(degraded) == 1  # warn once, not per dispatch
-        assert "falling back to 'vectorized'" in str(degraded[0].message)
-        assert "flaky" not in kernels.available_backends()
-        assert "flaky" in kernels.KERNEL_BACKENDS
-    finally:
-        kernels._REGISTRY.pop("flaky", None)
-        kernels._impl_cache.clear()
-        kernels._resolve_cache.clear()
-        kernels._selection_cache.clear()
-        kernels.KERNEL_BACKENDS = tuple(kernels._REGISTRY)
-
-
-def test_numba_row_reports_availability():
-    info = kernels.backend_info("numba")
-    assert info.base == "batched"
-    assert "jit" in info.capabilities
-    if not info.available:
-        assert "numba" in info.unavailable_reason
-
-
-def test_deprecated_shims_warn_once_and_still_work(monkeypatch):
-    monkeypatch.setattr(kernels, "_warned", set())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        kernels.set_backend("reference")
-        assert kernels.active_backend() == "reference"
-        kernels.set_backend(None)
-        with kernels.use_backend("reference") as name:
-            assert name == "reference"
-            assert kernels.active_backend() == "reference"
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    messages = sorted(str(w.message) for w in deprecations)
-    assert len(messages) == 2  # one per shim despite repeated calls
-    assert "select_backend" in messages[0]
-    assert "backend_scope" in messages[1]
-
-
-def test_use_backend_restores_on_error():
-    with pytest.raises(RuntimeError):
-        with kernels.use_backend("reference"):
-            raise RuntimeError("boom")
-    assert kernels.active_backend() == "vectorized"
+    assert kernels._override_stack == []

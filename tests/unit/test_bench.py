@@ -68,6 +68,27 @@ def test_run_kernel_benches_subset():
     assert "bench.kernel.transform.forward_4x4.vectorized_s" in metrics
 
 
+def test_vectorized_side_runs_on_the_default_path(monkeypatch):
+    from repro.codec import kernels
+
+    scoped = []
+    real_scope = kernels.backend_scope
+
+    def recording_scope(name):
+        scoped.append(name)
+        return real_scope(name)
+
+    monkeypatch.setattr(kernels, "backend_scope", recording_scope)
+    run_kernel_benches(MetricsRegistry(), reps=1, names=["transform.forward_4x4"])
+    assert scoped == ["reference"]
+
+
+def test_bench_refuses_a_non_default_selection(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNELS", "reference")
+    with pytest.raises(RuntimeError, match="default dispatch path"):
+        run_kernel_benches(MetricsRegistry(), reps=1, names=["transform.forward_4x4"])
+
+
 def test_run_e2e_fig3_single_cell():
     registry = MetricsRegistry()
     e2e = run_e2e_fig3(registry, reps=1, cells=((23, 1),), n_frames=2)
