@@ -4,7 +4,8 @@ The paper's §III-C characterization sweeps 816 crf x refs combinations
 per video — by far the most expensive code path in this reproduction.
 Every profiled point is deterministic given its inputs, so completed
 points are stored on disk keyed by a content hash of everything that can
-change the result: the repro version, the full
+change the result: the source of the result-determining packages
+(:func:`code_fingerprint`), the full
 :class:`~repro.codec.options.EncoderOptions`, the video spec (name and
 proxy geometry), the simulation knobs (sample rate, data-capacity
 scale), and the microarchitecture configuration. Repeat runs — across
@@ -12,6 +13,11 @@ processes, not just within one — then cost a JSON read per point.
 
 Design points:
 
+- **Keys bound to the code.** Every key embeds a SHA-256 over the
+  source of :data:`RESULT_PACKAGES`, so editing the codec, tracer or
+  simulator invalidates every cached cell without a manual version
+  bump, while edits elsewhere (telemetry, CLI, service) keep warm caches
+  warm.
 - **Content-hashed keys.** :func:`content_key` canonicalizes the key
   payload (sorted keys, compact JSON, dataclasses flattened by field
   name) before hashing, so keys are independent of dict insertion order
@@ -38,6 +44,7 @@ Design points:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -55,15 +62,21 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "SweepRecord",
+    "RESULT_PACKAGES",
     "canonical_json",
+    "code_fingerprint",
     "content_key",
     "default_cache_dir",
     "record_from_payload",
     "record_to_payload",
+    "source_fingerprint",
 ]
 
 #: Bump to invalidate every existing cache entry (key payloads embed it).
 CACHE_SCHEMA_VERSION = 1
+
+#: The ``repro`` subpackages whose source determines a cell's counters.
+RESULT_PACKAGES = ("video", "codec", "trace", "uarch", "profiling", "optim")
 
 
 @dataclass(frozen=True)
@@ -106,15 +119,35 @@ def canonical_json(payload: object) -> str:
     )
 
 
-def content_key(kind: str, **components: object) -> str:
-    """SHA-256 over the canonical JSON of ``components`` plus the repro
-    version and cache schema version."""
+def source_fingerprint(root: str | Path | None = None) -> str:
+    """SHA-256 over the ``.py`` files of :data:`RESULT_PACKAGES` under
+    ``root`` (default: the ``repro`` package being run), in path order."""
     import repro
 
+    base = Path(root) if root is not None else Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for package in RESULT_PACKAGES:
+        for path in sorted((base / package).rglob("*.py")):
+            digest.update(path.relative_to(base).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """:func:`source_fingerprint` of the running code, once per process."""
+    return source_fingerprint()
+
+
+def content_key(kind: str, **components: object) -> str:
+    """SHA-256 over the canonical JSON of ``components`` plus the source
+    fingerprint and cache schema version."""
     payload = {
         "kind": kind,
         "cache_schema": CACHE_SCHEMA_VERSION,
-        "repro_version": repro.__version__,
+        "source": code_fingerprint(),
         "components": components,
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

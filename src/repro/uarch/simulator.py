@@ -1,17 +1,23 @@
 """The simulator: trace stream in, full counter report out.
 
-Walks the trace events once — instruction fetches through the iTLB and
-the instruction-side cache hierarchy, data reads/writes through the
-data-side hierarchy (with separate load/store miss accounting for the
-store-buffer model), branch outcome sequences into the configured
-predictor — then runs the interval core model to assemble cycles, the
-Top-down breakdown, MPKI, and resource-stall counters.
+Walks the trace events once — kernel invocations through the analytic
+instruction-side model (i-cache and iTLB), branch outcome sequences into
+the configured predictor — while collecting the data reads/writes. The
+data-side hierarchy then runs over the whole collected stream in one
+batched, exact LRU computation (with separate load/store miss accounting
+for the store-buffer model), and the interval core model assembles
+cycles, the Top-down breakdown, MPKI, and resource-stall counters.
+
+Telemetry: ``simulate.window`` spans time the event walk only; the data
+side is timed by one ``simulate.dcache`` span per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+
+import numpy as np
 
 from repro.obs import session as obs
 from repro.resilience.faults import fault_point
@@ -100,16 +106,16 @@ class Simulator:
 
         predictor = BranchModel(config.branch_predictor)
 
-        # Load/store split miss accounting via per-event snapshots.
-        load_misses = [0.0] * len(data_levels)
-        store_misses = [0.0] * len(data_levels)
-        load_mem = 0.0
-        store_mem = 0.0
+        # The data side is computed for the whole trace at once after the
+        # event walk; the walk only collects each data event's addresses.
+        batches: list[np.ndarray] = []
+        weights: list[float] = []
+        is_read: list[bool] = []
 
         n_kernel = n_memory = n_branch = 0
 
         def replay(event) -> None:
-            nonlocal load_mem, store_mem, n_kernel, n_memory, n_branch
+            nonlocal n_kernel, n_memory, n_branch
             if isinstance(event, KernelEvent):
                 n_kernel += 1
                 icache.invoke(event.kernel, event.weight)
@@ -117,20 +123,9 @@ class Simulator:
                 if event.kind == "i":  # legacy traces; treat as L1i fetch
                     return
                 n_memory += 1
-                before = [c.stats.misses for c in data_levels]
-                mem_before = d_hier.mem_accesses
-                d_hier.access(event.addrs, event.weight)
-                deltas = [
-                    c.stats.misses - b for c, b in zip(data_levels, before)
-                ]
-                mem_delta = d_hier.mem_accesses - mem_before
-                target = load_misses if event.kind == "r" else store_misses
-                for i, d in enumerate(deltas):
-                    target[i] += d
-                if event.kind == "r":
-                    load_mem += mem_delta
-                else:
-                    store_mem += mem_delta
+                batches.append(event.addrs)
+                weights.append(event.weight)
+                is_read.append(event.kind == "r")
             elif isinstance(event, BranchEvent):
                 n_branch += 1
                 predictor.record(event.site, event.outcomes, event.weight)
@@ -153,6 +148,19 @@ class Simulator:
         else:
             for event in stream.iter_events():
                 replay(event)
+
+        with obs.span("simulate.dcache", config=config.name, events=n_memory):
+            # Per-event miss counts x weight: exact for the tracer's
+            # integer-valued weights, whatever the summation order.
+            weighted = d_hier.replay(batches).event_misses * np.asarray(
+                weights, dtype=np.float64
+            )
+            read = np.asarray(is_read, dtype=bool)
+            load_misses = weighted[:, read].sum(axis=1).tolist()
+            store_misses = weighted[:, ~read].sum(axis=1).tolist()
+        # The last data level's misses are the memory accesses.
+        load_mem = load_misses[-1]
+        store_mem = store_misses[-1]
 
         with obs.span("simulate.core_model", config=config.name):
             branch = predictor.evaluate(

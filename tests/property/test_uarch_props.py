@@ -1,25 +1,27 @@
-"""Property-based tests for the µarch substrate (cache, TLB, predictors)."""
+"""Property-based tests for the µarch substrate (caches, predictors)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.uarch.branch import BranchModel, two_level_mispredicts
-from repro.uarch.cache import Cache, CacheHierarchy
+from repro.uarch.cache import Cache, CacheHierarchy, lru_hits
 from repro.uarch.config import CacheParams
-from repro.uarch.tlb import Tlb
+from tests.lru_oracle import OracleCache
 
 lines_st = st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=400)
 outcomes_st = st.lists(st.booleans(), min_size=1, max_size=2000)
+
+
+def _misses(cache: Cache, lines) -> int:
+    return int(np.count_nonzero(~cache.hits(np.array(lines, dtype=np.int64))))
 
 
 class TestCacheProps:
     @given(lines_st)
     def test_misses_never_exceed_accesses(self, lines):
         c = Cache(CacheParams(1024, 2), "c")
-        for line in lines:
-            c.access_line(line)
-        assert 0 <= c.stats.misses <= c.stats.accesses
+        assert 0 <= _misses(c, lines) <= len(lines)
 
     @given(lines_st)
     def test_misses_at_least_distinct_lines_bounded(self, lines):
@@ -28,9 +30,7 @@ class TestCacheProps:
         to hold everything misses *exactly* once per distinct line."""
         n_distinct = len(set(lines))
         big = Cache(CacheParams(256 * 64, 256), "big")  # one set, 256 ways
-        for line in lines:
-            big.access_line(line)
-        assert big.stats.misses == n_distinct
+        assert _misses(big, lines) == n_distinct
 
     @given(lines_st)
     def test_bigger_cache_never_more_misses_fully_assoc(self, lines):
@@ -38,48 +38,41 @@ class TestCacheProps:
         never misses more than a smaller one on the same trace."""
         small = Cache(CacheParams(4 * 64, 4), "s")  # 1 set, 4 ways
         large = Cache(CacheParams(16 * 64, 16), "l")  # 1 set, 16 ways
-        for line in lines:
-            small.access_line(line)
-            large.access_line(line)
-        assert large.stats.misses <= small.stats.misses
+        assert _misses(large, lines) <= _misses(small, lines)
 
     @given(lines_st)
     def test_immediate_rereference_always_hits(self, lines):
         c = Cache(CacheParams(1024, 4), "c")
-        for line in lines:
-            c.access_line(line)
-            assert c.access_line(line) is True
+        doubled = np.repeat(np.array(lines, dtype=np.int64), 2)
+        assert c.hits(doubled)[1::2].all()
 
     @given(lines_st)
     def test_hierarchy_levels_monotone(self, lines):
         """Deeper levels see at most the misses of shallower levels."""
-        l1 = Cache(CacheParams(512, 2), "l1")
-        l2 = Cache(CacheParams(2048, 4), "l2")
-        hier = CacheHierarchy([l1, l2])
+        hier = CacheHierarchy(
+            [Cache(CacheParams(512, 2), "l1"), Cache(CacheParams(2048, 4), "l2")]
+        )
         addrs = np.array([l * 64 for l in lines], dtype=np.uint64)
-        hier.access(addrs)
-        assert l2.stats.accesses == l1.stats.misses
-        assert l2.stats.misses <= l1.stats.misses
-        assert hier.mem_accesses == l2.stats.misses
+        stats = hier.replay([addrs])
+        l1, l2 = stats.levels["l1"], stats.levels["l2"]
+        assert l2.accesses == l1.misses
+        assert l2.misses <= l1.misses
+        assert stats.mem_accesses == l2.misses
 
-
-class TestTlbProps:
-    @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
-    def test_miss_bounds(self, pages):
-        tlb = Tlb(entries=8)
-        addrs = np.array([p * 4096 for p in pages], dtype=np.uint64)
-        tlb.access(addrs)
-        assert len(set(pages)) >= 1
-        assert tlb.misses >= 1  # first access always misses
-        assert tlb.misses <= tlb.accesses
-
-    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=100))
-    def test_small_working_set_converges_to_hits(self, pages):
-        """Six pages in a 16-entry TLB: only compulsory misses."""
-        tlb = Tlb(entries=16)
-        addrs = np.array([p * 4096 for p in pages], dtype=np.uint64)
-        tlb.access(addrs)
-        assert tlb.misses == len(set(pages))
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=16),
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=15), max_size=600),
+            st.lists(st.integers(min_value=0, max_value=4095), max_size=600),
+        ),
+    )
+    def test_batched_hits_match_list_lru_oracle(self, n_sets, assoc, lines):
+        """The batched computation is exact: the same hit/miss decision
+        as a per-access LRU stack walk, access by access."""
+        oracle = OracleCache(CacheParams(n_sets * assoc * 64, assoc))
+        batched = lru_hits(np.array(lines, dtype=np.int64), n_sets, assoc)
+        assert batched.tolist() == oracle.hits(lines)
 
 
 class TestBranchProps:
